@@ -1,19 +1,28 @@
-// Command kcload drives a kcserved fleet with a deterministic mixed
-// query stream and reports client-observed latency quantiles. It is the
-// cluster's load generator and chaos driver in one binary:
+// Command kcload is the repo's HTTP client for kcserved: the cluster's
+// load generator and the serving gates' integration drills in one
+// binary. -scenario picks what it drives:
 //
-//   - a seeded zipf popularity distribution over K distinct query
+//   - fleet (default) sends a deterministic mixed query stream to one or
+//     more nodes. A seeded zipf popularity distribution over -keys query
 //     variants models the real shape of prediction traffic (a hot head
-//     the replica tier should absorb, a long tail the ring spreads)
-//   - an initial deterministic sweep issues every variant exactly once,
-//     so the fleet's cold-key cost is countable: with on-demand
+//     the replica tier should absorb, a long tail the ring spreads). An
+//     initial deterministic sweep issues every variant exactly once, so
+//     the fleet's cold-key cost is countable: with on-demand
 //     measurement, fleet-wide measure executions must equal the number
-//     of distinct variants — the cluster's exactly-once promise
-//   - -burst fires synchronized request volleys at the hottest key
-//   - -kill sends SIGTERM to a fleet process after a chosen number of
-//     completed requests, exercising rehash-to-survivors mid-run
-//   - transport failures retry against the next target, so a killed
-//     node costs latency, never a lost request
+//     of distinct variants — the cluster's exactly-once promise. -burst
+//     fires synchronized request volleys at the hottest key, and -kill
+//     sends SIGTERM to a fleet process after a chosen number of
+//     completed requests, exercising rehash-to-survivors mid-run.
+//   - selfcheck checks one warm node's serving contract (drills.go).
+//   - chaos drives one hardened, fault-injected node through the whole
+//     failure ladder (drills.go).
+//
+// Every scenario shares one client. A request whose target fails at
+// the transport retries against the next target, so a killed node costs
+// latency, never a lost request; a request lost on every target counts
+// as failed, like a 5xx. Every 200 /predict answer for a query after
+// the cold sweep must equal the first one byte for byte and carry no
+// X-Degraded tag.
 //
 // The run summary (JSON on stdout) carries request/status counts and
 // p50/p99/p999; -bench-out merges the quantiles into a BENCH_<date>.json
@@ -21,19 +30,26 @@
 // regression gate ignores by design — chaos noise is archived, never
 // gating.
 //
-// Example, 3-node fleet with a mid-run kill:
+// Examples — a 3-node fleet with a mid-run kill, then the two drills:
 //
 //	kcload -targets 127.0.0.1:8641,127.0.0.1:8642,127.0.0.1:8643 \
 //	  -n 300 -keys 6 -kill $PID2@100 -max-5xx 0
+//	kcload -scenario selfcheck -targets 127.0.0.1:8640 \
+//	  -base-query 'bench=BT&chains=2' -n 16 -concurrency 16
+//	kcload -scenario chaos -targets 127.0.0.1:8640 \
+//	  -base-query 'bench=BT&chains=2' -n 16 -concurrency 16
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -47,31 +63,45 @@ import (
 )
 
 func main() {
-	var (
-		targets     = flag.String("targets", "", "comma-separated kcserved base addresses (required)")
-		n           = flag.Int("n", 200, "zipf-phase request count (after the deterministic sweep)")
-		concurrency = flag.Int("concurrency", 8, "concurrent in-flight requests")
-		keys        = flag.Int("keys", 8, "distinct query variants in the key population")
-		zipfS       = flag.Float64("zipf-s", 1.2, "zipf skew (s > 1; larger = hotter head)")
-		seed        = flag.Uint64("seed", 1, "seed for the popularity draw and target rotation")
-		baseQuery   = flag.String("base-query", "bench=BT&class=S&procs=4&chains=2&trips=2&blocks=1&passes=1",
-			"query template; variant i appends grid=<grid0+i>")
-		grid0     = flag.Int("grid0", 4, "grid of variant 0 (variant i uses grid0+i)")
-		burst     = flag.Int("burst", 0, "burst size: extra synchronized requests for the hottest key (0 disables)")
-		burstEach = flag.Int("burst-every", 50, "completed requests between bursts")
-		kills     = flag.String("kill", "", "comma-separated pid@afterN clauses: SIGTERM pid once N requests completed")
-		max5xx    = flag.Int("max-5xx", 0, "tolerated 5xx responses before exiting nonzero")
-		timeout   = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
-		warmup    = flag.Duration("warmup", 30*time.Second, "how long to wait for every target's /healthz")
-		benchOut  = flag.String("bench-out", "", "merge latency quantiles into this BENCH_<date>.json")
-		benchName = flag.String("bench-name", "LoadCluster", "record name for -bench-out")
-		out       = flag.String("out", "", "write the JSON summary here as well as stdout")
-	)
-	flag.Parse()
-	if *targets == "" {
-		fail("-targets is required")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "kcload: %v\n", err)
+		os.Exit(1)
 	}
-	bases := make([]string, 0)
+}
+
+// run parses args, drives the chosen scenario and writes the summary to
+// stdout; any failed check, flag error or excess of failed requests is
+// the returned error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("kcload", flag.ContinueOnError)
+	var (
+		scenario    = fs.String("scenario", "fleet", "what to drive: fleet (zipf load over -keys variants), selfcheck (one warm node's serving contract) or chaos (one hardened, fault-injected node's failure ladder)")
+		targets     = fs.String("targets", "", "comma-separated kcserved base addresses (required; selfcheck and chaos take exactly one)")
+		n           = fs.Int("n", 200, "fleet: requests after the sweep; selfcheck: concurrent rounds; chaos: overload burst size (clamped to 8..16)")
+		concurrency = fs.Int("concurrency", 8, "concurrent in-flight requests")
+		keys        = fs.Int("keys", 8, "distinct query variants in the key population")
+		zipfS       = fs.Float64("zipf-s", 1.2, "zipf skew (s > 1; larger = hotter head)")
+		seed        = fs.Uint64("seed", 1, "seed for the popularity draw and target rotation")
+		baseQuery   = fs.String("base-query", "bench=BT&class=S&procs=4&chains=2&trips=2&blocks=1&passes=1",
+			"query template; fleet variant i sets grid=<grid0+i>, selfcheck and chaos use it verbatim as the warm query")
+		grid0     = fs.Int("grid0", 4, "grid of variant 0 (variant i uses grid0+i)")
+		burst     = fs.Int("burst", 0, "burst size: extra synchronized requests for the hottest key (0 disables)")
+		burstEach = fs.Int("burst-every", 50, "completed requests between bursts")
+		kills     = fs.String("kill", "", "comma-separated pid@afterN clauses: SIGTERM pid once N requests completed")
+		max5xx    = fs.Int("max-5xx", 0, "tolerated failed requests (5xx answers plus requests lost on every target) before exiting nonzero; the chaos drill asserts each 5xx itself")
+		timeout   = fs.Duration("timeout", 60*time.Second, "per-request client timeout")
+		warmup    = fs.Duration("warmup", 30*time.Second, "how long to wait for every target's /healthz")
+		benchOut  = fs.String("bench-out", "", "merge latency quantiles into this BENCH_<date>.json")
+		benchName = fs.String("bench-name", "LoadCluster", "record name for -bench-out")
+		out       = fs.String("out", "", "write the JSON summary here as well as stdout")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var bases []string
 	for _, a := range strings.Split(*targets, ",") {
 		a = strings.TrimSpace(a)
 		if a == "" {
@@ -82,105 +112,142 @@ func main() {
 		}
 		bases = append(bases, strings.TrimRight(a, "/"))
 	}
-	if len(bases) == 0 {
-		fail("-targets lists no addresses")
-	}
-	if *keys < 1 || *n < 0 || *concurrency < 1 {
-		fail("-keys and -concurrency must be >= 1, -n >= 0")
+	tmpl, err := url.ParseQuery(*baseQuery)
+	switch {
+	case *scenario != "fleet" && *scenario != "selfcheck" && *scenario != "chaos":
+		return fmt.Errorf("-scenario %q: want fleet, selfcheck or chaos", *scenario)
+	case len(bases) == 0:
+		return errors.New("-targets is required")
+	case *scenario != "fleet" && len(bases) != 1:
+		return fmt.Errorf("-scenario %s drives exactly one target, got %d", *scenario, len(bases))
+	case *keys < 1 || *n < 0 || *concurrency < 1:
+		return errors.New("-keys and -concurrency must be >= 1, -n >= 0")
+	case !(*zipfS > 1):
+		return fmt.Errorf("-zipf-s %v: want s > 1 (zipf has no distribution for s <= 1)", *zipfS)
+	case *burst < 0 || *burstEach < 1:
+		return errors.New("-burst must be >= 0 and -burst-every >= 1")
+	case err != nil:
+		return fmt.Errorf("-base-query: %w", err)
 	}
 	killPlan, err := parseKills(*kills)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 
-	client := &http.Client{Timeout: *timeout}
-	if err := waitHealthy(client, bases, *warmup); err != nil {
-		fail("%v", err)
-	}
-
-	// The key population: variant i is the base query plus grid=grid0+i —
-	// distinct grids are distinct plan keys, so the sweep's cold-key
-	// count is exactly -keys.
-	variants := make([]string, *keys)
-	for i := range variants {
-		variants[i] = *baseQuery + "&grid=" + strconv.Itoa(*grid0+i)
-	}
-
-	run := &loadRun{
-		client: client,
+	r := &loadRun{
+		client: &http.Client{Timeout: *timeout},
 		bases:  bases,
+		sem:    make(chan struct{}, *concurrency),
 		kills:  killPlan,
+		sum:    Summary{Scenario: *scenario, Targets: bases},
+		first:  map[string][]byte{},
+	}
+	if err := waitHealthy(r.client, bases, *warmup); err != nil {
+		return err
+	}
+	switch *scenario {
+	case "fleet":
+		err = r.fleet(tmpl, *keys, *grid0, *n, *zipfS, *seed, *burst, *burstEach)
+	case "selfcheck":
+		err = r.selfcheck(*baseQuery, *n)
+	case "chaos":
+		err = r.chaos(*baseQuery, tmpl, *n)
+	}
+	if err != nil {
+		return err
+	}
+
+	sum := r.summary()
+	blob, err := json.MarshalIndent(sum, "", "  ")
+	if err != nil {
+		return err
+	}
+	blob = append(blob, '\n')
+	stdout.Write(blob)
+	if *out != "" {
+		if err := os.WriteFile(*out, blob, 0o644); err != nil {
+			return err
+		}
+	}
+	if *benchOut != "" {
+		if err := benchdiff.MergeRecord(*benchOut, sum.record(*benchName)); err != nil {
+			return fmt.Errorf("bench-out: %w", err)
+		}
+	}
+	// A request lost on every target failed as surely as a 5xx did. The
+	// chaos drill provokes 5xx on purpose and asserts each one itself.
+	failed := sum.Transport
+	if *scenario != "chaos" {
+		failed += sum.Status5xx
+	}
+	if failed > *max5xx {
+		return fmt.Errorf("%d requests failed: %d 5xx, %d lost on every target (max %d)",
+			failed, sum.Status5xx, sum.Transport, *max5xx)
+	}
+	return nil
+}
+
+// fleet is the load scenario: a deterministic cold sweep, then seeded
+// zipf traffic with optional bursts and kills.
+func (r *loadRun) fleet(tmpl url.Values, keys, grid0, n int, zipfS float64, seed uint64, burst, burstEvery int) error {
+	// The key population: variant i is the base query with grid=grid0+i
+	// — distinct grids are distinct plan keys, so the sweep's cold-key
+	// count is exactly -keys.
+	variants := make([]string, keys)
+	for i := range variants {
+		variants[i] = variant(tmpl, "grid", strconv.Itoa(grid0+i))
 	}
 
 	// Phase 1: deterministic sweep — every variant exactly once, round-
 	// robin over targets. Sequential on purpose: concurrent cold keys
 	// would still measure once each (singleflight), but sequencing makes
 	// the sweep's timing reproducible and keeps the measurement load off
-	// the burst machinery.
+	// the burst machinery. Sweep answers may have executed worlds, so
+	// byte identity starts after it.
 	for i, qs := range variants {
-		run.do(bases[i%len(bases)], qs)
+		r.predict(i%len(r.bases), qs)
 	}
-	sweepDone := run.completed.Load()
+	r.sum.Sweep = r.completed.Load()
 
 	// Phase 2: zipf traffic with optional bursts. The popularity draw and
 	// the per-request target rotation both derive from -seed, so two runs
 	// against identical fleets issue the identical request schedule.
-	rng := rand.New(rand.NewSource(int64(*seed)))
-	zipf := rand.NewZipf(rng, *zipfS, 1, uint64(*keys-1))
-	sem := make(chan struct{}, *concurrency)
-	var wg sync.WaitGroup
-	launch := func(base, qs string) {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			run.do(base, qs)
-		}()
+	rng := rand.New(rand.NewSource(int64(seed)))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(keys-1))
+	launch := func(target int, qs string) {
+		r.launch(func() error {
+			// A lost request is tallied, and fails the exit check.
+			res, _ := r.predict(target%len(r.bases), qs)
+			return r.same(qs, res)
+		})
 	}
-	for i := 0; i < *n; i++ {
-		run.fireKills()
-		launch(bases[i%len(bases)], variants[zipf.Uint64()])
-		if *burst > 0 && *burstEach > 0 && i > 0 && i%*burstEach == 0 {
+	for i := 0; i < n; i++ {
+		r.fireKills()
+		launch(i, variants[zipf.Uint64()])
+		if burst > 0 && i > 0 && i%burstEvery == 0 {
 			// A volley for the hottest key: the shape that drives a
 			// non-owner past the replication threshold.
-			for b := 0; b < *burst; b++ {
-				launch(bases[(i+b)%len(bases)], variants[0])
+			for b := 0; b < burst; b++ {
+				launch(i+b, variants[0])
 			}
 		}
 	}
-	wg.Wait()
-	run.fireKills()
+	err := r.wait()
+	r.fireKills()
+	return err
+}
 
-	sum := run.summary(sweepDone)
-	blob, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		fail("%v", err)
+// variant returns tmpl with each key of the kv pairs set (not appended:
+// the server rejects a repeated parameter), encoded as a query string.
+func variant(tmpl url.Values, kv ...string) string {
+	v := url.Values{}
+	for key, vals := range tmpl {
+		v[key] = append([]string(nil), vals...)
 	}
-	blob = append(blob, '\n')
-	os.Stdout.Write(blob)
-	if *out != "" {
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			fail("%v", err)
-		}
+	for i := 0; i+1 < len(kv); i += 2 {
+		v.Set(kv[i], kv[i+1])
 	}
-	if *benchOut != "" {
-		rec := map[string]any{
-			"name": *benchName, "cpus": 0, "iterations": sum.Requests,
-			"metrics": map[string]any{
-				"p50-ns":    sum.P50Ns,
-				"p99-ns":    sum.P99Ns,
-				"p999-ns":   sum.P999Ns,
-				"count-5xx": sum.Status5xx,
-				"retries":   sum.Retries,
-			},
-		}
-		if err := benchdiff.MergeRecord(*benchOut, rec); err != nil {
-			fail("bench-out: %v", err)
-		}
-	}
-	if sum.Status5xx > *max5xx {
-		fail("%d responses were 5xx (max %d)", sum.Status5xx, *max5xx)
-	}
+	return v.Encode()
 }
 
 // killClause is one pid@afterN trigger.
@@ -236,67 +303,133 @@ func waitHealthy(client *http.Client, bases []string, budget time.Duration) erro
 
 // loadRun accumulates results across the concurrent request workers.
 type loadRun struct {
-	client *http.Client
-	bases  []string
-
+	client    *http.Client
+	bases     []string
+	sem       chan struct{} // -concurrency worker slots
+	wg        sync.WaitGroup
 	completed atomic.Int64
+	kills     []*killClause // dispatcher-only: fireKills runs on one goroutine
 
 	mu        sync.Mutex
+	sum       Summary // tallies; summary adds the request count and quantiles
 	latencies []time.Duration
-	status2xx int
-	status4xx int
-	status5xx int
-	retries   int
-	transport int // requests that failed every target
-
-	killMu sync.Mutex
-	kills  []*killClause
-	killed []int
+	first     map[string][]byte // first post-sweep 200 /predict body per query
+	errs      []error           // failed checks from launched workers
 }
 
-// do issues one request, retrying each remaining target in rotation on
-// transport failure — a killed node's listener refuses, the next target
-// answers, the request is never lost. Response bodies are drained and
-// discarded; only status and latency matter here.
-func (r *loadRun) do(base, qs string) {
-	start := time.Now()
-	idx := 0
-	for i, b := range r.bases {
-		if b == base {
-			idx = i
-			break
-		}
-	}
-	var status int
-	tried := 0
+// result is one answered GET.
+type result struct {
+	status  int
+	header  http.Header
+	body    []byte
+	elapsed time.Duration
+	tries   int
+}
+
+// get issues GET path starting at target start, retrying each remaining
+// target in rotation on transport failure — a killed node's listener
+// refuses, the next target answers. The error reports a request lost on
+// every target.
+func (r *loadRun) get(start int, path string) (result, error) {
+	begin := time.Now()
+	var lastErr error
 	for attempt := 0; attempt < len(r.bases); attempt++ {
-		target := r.bases[(idx+attempt)%len(r.bases)]
-		resp, err := r.client.Get(target + "/predict?" + qs)
-		tried++
-		if err != nil {
-			continue // connection refused / reset: try the next target
+		resp, err := r.client.Get(r.bases[(start+attempt)%len(r.bases)] + path)
+		if err == nil {
+			var body []byte
+			body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err == nil {
+				return result{resp.StatusCode, resp.Header, body, time.Since(begin), attempt + 1}, nil
+			}
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		status = resp.StatusCode
-		break
+		lastErr = err // connection refused / reset: try the next target
 	}
-	elapsed := time.Since(start)
+	return result{elapsed: time.Since(begin), tries: len(r.bases)},
+		fmt.Errorf("GET %s lost on every target: %w", path, lastErr)
+}
+
+// get200 fetches a probe endpoint from the first target and fails on
+// anything but a 200. Probes are not tallied: the summary describes
+// /predict traffic.
+func (r *loadRun) get200(path string) ([]byte, error) {
+	res, err := r.get(0, path)
+	if err == nil && res.status != http.StatusOK {
+		err = fmt.Errorf("GET %s = %d: %s", path, res.status, res.body)
+	}
+	return res.body, err
+}
+
+// predict GETs /predict?qs starting at target start and tallies the
+// outcome into the run's summary.
+func (r *loadRun) predict(start int, qs string) (result, error) {
+	res, err := r.get(start, "/predict?"+qs)
 	r.completed.Add(1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.latencies = append(r.latencies, elapsed)
-	r.retries += tried - 1
+	r.latencies = append(r.latencies, res.elapsed)
+	r.sum.Retries += res.tries - 1
 	switch {
-	case status == 0:
-		r.transport++
-	case status >= 500:
-		r.status5xx++
-	case status >= 400:
-		r.status4xx++
+	case err != nil:
+		r.sum.Transport++
+	case res.status >= 500:
+		r.sum.Status5xx++
+		if res.status == http.StatusServiceUnavailable {
+			r.sum.Status503++
+		}
+	case res.status >= 400:
+		r.sum.Status4xx++
 	default:
-		r.status2xx++
+		r.sum.Status2xx++
 	}
+	return res, err
+}
+
+// same holds a warm /predict answer to byte identity: the first 200
+// body seen for qs is the reference every later 200 must equal, and
+// none may carry an X-Degraded tag. Other statuses are tallied by
+// predict, not compared.
+func (r *loadRun) same(qs string, res result) error {
+	if res.status != http.StatusOK {
+		return nil
+	}
+	if d := res.header.Get("X-Degraded"); d != "" {
+		return fmt.Errorf("warm /predict?%s answered degraded (X-Degraded: %s)", qs, d)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ref, ok := r.first[qs]
+	if !ok {
+		r.first[qs] = res.body
+		return nil
+	}
+	if !bytes.Equal(ref, res.body) {
+		return fmt.Errorf("warm /predict?%s drifted from its first answer:\n%s\nnow:\n%s", qs, ref, res.body)
+	}
+	return nil
+}
+
+// launch runs fn on a worker once one of the -concurrency slots frees;
+// an error fn returns fails the run at the next wait.
+func (r *loadRun) launch(fn func() error) {
+	r.sem <- struct{}{}
+	r.wg.Add(1)
+	go func() {
+		defer func() { <-r.sem; r.wg.Done() }()
+		if err := fn(); err != nil {
+			r.mu.Lock()
+			r.errs = append(r.errs, err)
+			r.mu.Unlock()
+		}
+	}()
+}
+
+// wait joins every launched worker and returns their failed checks.
+func (r *loadRun) wait() error {
+	r.wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return errors.Join(r.errs...)
 }
 
 // fireKills triggers any kill clause whose request threshold has been
@@ -304,36 +437,33 @@ func (r *loadRun) do(base, qs string) {
 // launches at a deterministic point in the schedule.
 func (r *loadRun) fireKills() {
 	done := r.completed.Load()
-	r.killMu.Lock()
-	var due []*killClause
 	for _, k := range r.kills {
 		if k.fired || done < k.after {
 			continue
 		}
 		k.fired = true
-		due = append(due, k)
-	}
-	r.killMu.Unlock()
-	for _, k := range due {
 		if err := syscall.Kill(k.pid, syscall.SIGTERM); err != nil {
 			fmt.Fprintf(os.Stderr, "kcload: kill %d: %v\n", k.pid, err)
 			continue
 		}
 		fmt.Fprintf(os.Stderr, "kcload: sent SIGTERM to %d after %d requests\n", k.pid, done)
-		r.killMu.Lock()
-		r.killed = append(r.killed, k.pid)
-		r.killMu.Unlock()
+		r.mu.Lock()
+		r.sum.Killed = append(r.sum.Killed, k.pid)
+		r.mu.Unlock()
 	}
 }
 
-// Summary is the run's JSON report.
+// Summary is the run's JSON report; every scenario writes the same
+// shape, counting /predict requests only.
 type Summary struct {
+	Scenario  string   `json:"scenario"`
 	Targets   []string `json:"targets"`
 	Requests  int      `json:"requests"`
 	Sweep     int64    `json:"sweep"`
 	Status2xx int      `json:"status_2xx"`
 	Status4xx int      `json:"status_4xx"`
 	Status5xx int      `json:"status_5xx"`
+	Status503 int      `json:"status_503"`
 	Transport int      `json:"transport_failures"`
 	Retries   int      `json:"retries"`
 	Killed    []int    `json:"killed_pids,omitempty"`
@@ -342,38 +472,40 @@ type Summary struct {
 	P999Ns    int64    `json:"p999_ns"`
 }
 
-func (r *loadRun) summary(sweep int64) Summary {
+func (r *loadRun) summary() Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sorted := append([]time.Duration(nil), r.latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	q := func(p float64) int64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i].Nanoseconds()
-	}
-	r.killMu.Lock()
-	killed := append([]int(nil), r.killed...)
-	r.killMu.Unlock()
-	return Summary{
-		Targets:   r.bases,
-		Requests:  len(r.latencies),
-		Sweep:     sweep,
-		Status2xx: r.status2xx,
-		Status4xx: r.status4xx,
-		Status5xx: r.status5xx,
-		Transport: r.transport,
-		Retries:   r.retries,
-		Killed:    killed,
-		P50Ns:     q(0.50),
-		P99Ns:     q(0.99),
-		P999Ns:    q(0.999),
-	}
+	s := r.sum
+	s.Requests = len(sorted)
+	s.P50Ns = quantile(sorted, 0.50).Nanoseconds()
+	s.P99Ns = quantile(sorted, 0.99).Nanoseconds()
+	s.P999Ns = quantile(sorted, 0.999).Nanoseconds()
+	return s
 }
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "kcload: "+format+"\n", args...)
-	os.Exit(1)
+// quantile is the nearest-rank p-quantile of ascending-sorted d, zero
+// when d is empty.
+func quantile(d []time.Duration, p float64) time.Duration {
+	if len(d) == 0 {
+		return 0
+	}
+	return d[int(p*float64(len(d)-1))]
+}
+
+// record is the summary as one benchdiff.MergeRecord record; the shed
+// rate (503s per request) rides along when anything shed.
+func (s Summary) record(name string) map[string]any {
+	metrics := map[string]any{
+		"p50-ns":    s.P50Ns,
+		"p99-ns":    s.P99Ns,
+		"p999-ns":   s.P999Ns,
+		"count-5xx": s.Status5xx,
+		"retries":   s.Retries,
+	}
+	if s.Status503 > 0 {
+		metrics["shed-rate-%"] = 100 * float64(s.Status503) / float64(s.Requests)
+	}
+	return map[string]any{"name": name, "cpus": 0, "iterations": s.Requests, "metrics": metrics}
 }

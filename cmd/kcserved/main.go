@@ -59,14 +59,8 @@
 // serving-layer chaos (disk delays/errors, measurement failures,
 // handler latency) deterministically from -fault-seed.
 //
-// The -selfcheck mode turns the binary into its own integration client
-// for CI: it polls /healthz until the service is up, fires concurrent
-// mixed requests, and verifies /predict answers are byte-identical and
-// world-free. With -selfcheck-chaos it becomes a chaos drill instead,
-// driving a hardened fault-injected server through the whole failure
-// ladder — breaker open/probe/close, degraded provenance, overload
-// shedding, deadline bounding — and optionally archiving latency
-// quantiles and the shed rate into -selfcheck-bench-out.
+// kcserved only serves; cmd/kcload is its client, for load and for the
+// CI gates' selfcheck and chaos drills.
 package main
 
 import (
@@ -133,31 +127,10 @@ func main() {
 		httpRead       = flag.Duration("http-read-timeout", 0, "listener request-read timeout (0 = 30s default, negative disables)")
 		httpWrite      = flag.Duration("http-write-timeout", 0, "listener response-write timeout (0 = 2m default, negative disables)")
 		httpIdle       = flag.Duration("http-idle-timeout", 0, "listener keep-alive idle timeout (0 = 2m default, negative disables)")
-
-		selfcheck     = flag.String("selfcheck", "", "run as integration client against this base URL instead of serving")
-		checkQuery    = flag.String("selfcheck-query", "bench=BT&chains=2", "query string for -selfcheck /predict probes")
-		checkN        = flag.Int("selfcheck-n", 16, "concurrent requests per -selfcheck round")
-		checkChaos    = flag.Bool("selfcheck-chaos", false, "run the chaos drill instead of the plain selfcheck (expects a hardened -measure server with 'measure:count=2' injected)")
-		checkDeadline = flag.Duration("selfcheck-deadline", 2*time.Second, "the server's -deadline, so the chaos drill can bound 504 latency")
-		checkBenchOut = flag.String("selfcheck-bench-out", "", "merge the chaos drill's latency quantiles and shed rate into this BENCH_<date>.json")
 	)
 	var oflags obscli.ServeFlags
 	oflags.Register(nil)
 	flag.Parse()
-
-	if *selfcheck != "" {
-		var err error
-		if *checkChaos {
-			err = runChaosCheck(*selfcheck, *checkQuery, *checkN, *checkDeadline, *checkBenchOut)
-		} else {
-			err = runSelfcheck(*selfcheck, *checkQuery, *checkN)
-		}
-		if err != nil {
-			fail("selfcheck: %v", err)
-		}
-		fmt.Println("kcserved selfcheck: ok")
-		return
-	}
 
 	// Hardening is assembled only when some guard flag was given, so a
 	// plain kcserved serves exactly the pre-hardening bytes and allocs.

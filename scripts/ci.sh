@@ -103,12 +103,12 @@ rm -f /tmp/kc-couple /tmp/kc-npbrun /tmp/kc-chaos-err
 # Serving gate: kcserved built with the race detector must answer a
 # concurrent mixed load from a warm cache — byte-identical /predict
 # bodies, zero worlds executed, every response stamped with a trace ID
-# and the flight recorder populated (selfcheck asserts both) — and
-# drain cleanly on SIGTERM, flushing a flight dump and an access log.
-# The binary's own -selfcheck mode is the client, so the gate needs no
-# curl.
+# and the flight recorder populated (kcload's selfcheck scenario asserts
+# both) — and drain cleanly on SIGTERM, flushing a flight dump and an
+# access log. kcload is the client, so the gate needs no curl.
 echo "==> serve: race-built kcserved answers a warm cache under load"
 go build -o /tmp/kc-couple ./cmd/couple
+go build -o /tmp/kc-load ./cmd/kcload
 go build -race -o /tmp/kc-serve-race ./cmd/kcserved
 rm -rf /tmp/kc-serve-cache
 rm -f /tmp/kc-serve-flight.json /tmp/kc-serve-access.log
@@ -118,10 +118,10 @@ rm -f /tmp/kc-serve-flight.json /tmp/kc-serve-access.log
     -flight-out /tmp/kc-serve-flight.json -log-out /tmp/kc-serve-access.log \
     2>/tmp/kc-serve.err &
 serve_pid=$!
-if ! /tmp/kc-serve-race -selfcheck http://127.0.0.1:18640 \
-    -selfcheck-query 'bench=BT&grid=8&trips=2&procs=4&chains=2,5&blocks=2' \
-    -selfcheck-n 16; then
-    echo "==> serve gate FAILED: selfcheck" >&2
+if ! /tmp/kc-load -scenario selfcheck -targets 127.0.0.1:18640 \
+    -base-query 'bench=BT&grid=8&trips=2&procs=4&chains=2,5&blocks=2' \
+    -n 16 -concurrency 16; then
+    echo "==> serve gate FAILED: kcload selfcheck" >&2
     cat /tmp/kc-serve.err >&2
     kill "$serve_pid" 2>/dev/null || true
     exit 1
@@ -141,7 +141,7 @@ if ! grep -q '"trace":"t-' /tmp/kc-serve-access.log; then
     exit 1
 fi
 rm -rf /tmp/kc-serve-cache /tmp/kc-serve-race /tmp/kc-serve.err /tmp/kc-couple \
-    /tmp/kc-serve-flight.json /tmp/kc-serve-access.log
+    /tmp/kc-load /tmp/kc-serve-flight.json /tmp/kc-serve-access.log
 
 # Non-gating: archive a smoke-scale benchmark run so history accumulates
 # in CI logs. Failures here never fail the gate (the tables are timing-
@@ -154,19 +154,20 @@ else
 fi
 
 # Chaos-serve gate: a race-built kcserved with the full guard stack and
-# deterministic fault injection must survive its own chaos drill — the
+# deterministic fault injection must survive kcload's chaos drill — the
 # breaker opens on injected measurement failures, fast-fails, probes and
 # closes after cooldown; an unanswerable query degrades to a tagged
 # nearby answer; an overload burst sheds 503 + Retry-After with the
-# serve.shed counter matching the client's tally; warm answers stay
-# byte-identical throughout; and the service drains with no stuck
-# gauges and exits cleanly on SIGTERM. Latency quantiles under chaos
-# are merged into today's BENCH file (after make bench, so the archive
-# survives). The drill needs a freshly warmed cache: its own recovery
+# serve.shed counter matching the client's tally; 504s answer within the
+# budget their body names plus 2s; warm answers stay byte-identical
+# throughout; and the service drains with no stuck gauges and exits
+# cleanly on SIGTERM. Latency quantiles under chaos are merged into
+# today's BENCH file (after make bench, so the archive survives). The drill needs a freshly warmed cache: its own recovery
 # probe persists measurements, so a reused cache dir would no longer be
 # cold where the drill expects it.
 echo "==> chaos-serve: hardened kcserved survives injected faults and overload"
 go build -o /tmp/kc-couple ./cmd/couple
+go build -o /tmp/kc-load ./cmd/kcload
 go build -race -o /tmp/kc-chaos-serve ./cmd/kcserved
 rm -rf /tmp/kc-chaos-cache
 /tmp/kc-couple -bench BT -grid 8 -trips 2 -procs 4 -chains 2,5 -blocks 2 \
@@ -178,10 +179,10 @@ rm -rf /tmp/kc-chaos-cache
     -fault-spec 'measure:count=2;diskslow:p=0.3,mean=2ms;handler:delay=4ms,p=0.25' \
     -fault-seed 7 2>/tmp/kc-chaos-serve.err &
 chaos_pid=$!
-if ! /tmp/kc-chaos-serve -selfcheck http://127.0.0.1:18641 -selfcheck-chaos \
-    -selfcheck-query 'bench=BT&grid=8&trips=2&procs=4&chains=2,5&blocks=2' \
-    -selfcheck-deadline 2s -selfcheck-bench-out "BENCH_$(date +%F).json"; then
-    echo "==> chaos-serve gate FAILED: chaos drill" >&2
+if ! /tmp/kc-load -scenario chaos -targets 127.0.0.1:18641 \
+    -base-query 'bench=BT&grid=8&trips=2&procs=4&chains=2,5&blocks=2' \
+    -n 16 -concurrency 16 -bench-out "BENCH_$(date +%F).json" -bench-name ChaosServe; then
+    echo "==> chaos-serve gate FAILED: kcload chaos drill" >&2
     cat /tmp/kc-chaos-serve.err >&2
     kill "$chaos_pid" 2>/dev/null || true
     exit 1
@@ -192,18 +193,19 @@ if ! wait "$chaos_pid"; then
     cat /tmp/kc-chaos-serve.err >&2
     exit 1
 fi
-rm -rf /tmp/kc-chaos-cache /tmp/kc-chaos-serve /tmp/kc-chaos-serve.err /tmp/kc-couple
+rm -rf /tmp/kc-chaos-cache /tmp/kc-chaos-serve /tmp/kc-chaos-serve.err /tmp/kc-couple /tmp/kc-load
 
 # Cluster gate: a race-built 3-node peer-filling fleet over one shared
 # cache dir must serve a kcload run — zipf traffic with bursts and a
-# mid-run SIGTERM of one node — without a single 5xx (kcload retries a
-# dead listener against the survivors; the fleet rehashes the dead
-# node's keys), measure each cold key exactly once fleet-wide, and
-# drain every node cleanly. The kill lands after the deterministic
-# sweep, so every cold key was measured (and persisted) before a node
-# dies; the exactly-once count is summed from the three shutdown
-# manifests. kcload's latency quantiles are archived into today's BENCH
-# file under custom metric keys benchdiff never gates.
+# mid-run SIGTERM of one node — without a single 5xx or lost request
+# (kcload retries a dead listener against the survivors; the fleet
+# rehashes the dead node's keys), answer every post-sweep /predict with
+# the same bytes whichever node served it, measure each cold key
+# exactly once fleet-wide, and drain every node cleanly. The kill lands
+# after the deterministic sweep, so every cold key was measured (and
+# persisted) before a node dies; the exactly-once count is summed from
+# the three shutdown manifests. kcload's latency quantiles are archived
+# into today's BENCH file under custom metric keys benchdiff never gates.
 echo "==> cluster: 3-node fleet survives a node kill; cold keys measure once fleet-wide"
 go build -race -o /tmp/kc-cluster-serve ./cmd/kcserved
 go build -o /tmp/kc-load ./cmd/kcload
@@ -220,7 +222,7 @@ done
 if ! /tmp/kc-load -targets "$cluster_peers" -n 240 -keys 6 -concurrency 8 \
     -burst 6 -burst-every 40 -kill "${cluster_pids[2]}@100" -max-5xx 0 \
     -bench-out "BENCH_$(date +%F).json" -bench-name LoadCluster; then
-    echo "==> cluster gate FAILED: kcload saw 5xx or could not finish" >&2
+    echo "==> cluster gate FAILED: kcload saw 5xx, lost requests or drifting bodies" >&2
     cat /tmp/kc-cluster-node*.err >&2
     kill "${cluster_pids[1]}" "${cluster_pids[3]}" 2>/dev/null || true
     exit 1
